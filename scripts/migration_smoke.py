@@ -12,6 +12,9 @@ acceptance invariants breaks:
   hostile enough to prove anything);
 * **tail latency** — the restart arm's observed p99 (drops land at the
   request timeout) not being at least 2x the live arm's;
+* **data plane** — a live-arm tenant still reaching its board across
+  nodes (its pod did not follow its session), or the live arm's median
+  differing from the restart arm's steady state;
 * **deadlock** — any client CL-event FSM left unresolved on either arm;
 * **golden drift** — the seeded digest no longer matching
   ``tests/experiments/data/golden_migration.json`` (the run is
@@ -61,6 +64,15 @@ def main() -> int:
         failures.append(
             f"restart p99 {restart.observed_p99_ms:.1f} ms is not "
             f">= {TAIL_FACTOR}x live p99 {live.observed_p99_ms:.1f} ms"
+        )
+    if live.remote_sessions:
+        failures.append(
+            f"{live.remote_sessions} live-arm tenant(s) still cross nodes "
+            "to their board: the pod did not move with its session"
+        )
+    if live.p50_ms != restart.p50_ms:
+        failures.append(
+            f"live p50 {live.p50_ms} ms != restart p50 {restart.p50_ms} ms"
         )
     hung = restart.hung_events + live.hung_events
     if hung:

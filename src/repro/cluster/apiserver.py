@@ -137,6 +137,25 @@ class Cluster:
         self._notify(WatchEventType.MODIFIED, pod)
         return pod
 
+    def rebind_pod(self, name: str, node_name: str) -> Pod:
+        """Move a running pod to another node, keeping its identity.
+
+        The container checkpoint/restore of a live migration: the pod keeps
+        its name, uid and workload process, only its placement changes.
+        Refuses a node that is not ready, as scheduling does.
+        """
+        pod = self.pods[name]
+        node = self.node(node_name)
+        if not node.ready:
+            raise SchedulingError(f"node {node.name!r} is not ready")
+        if pod.node is not None:
+            pod.node.pods.pop(name, None)
+        pod.node = node
+        pod.spec.node_name = node.name
+        node.pods[name] = pod
+        self._notify(WatchEventType.MODIFIED, pod)
+        return pod
+
     def pods_on(self, node_name: str) -> List[Pod]:
         return list(self.node(node_name).pods.values())
 

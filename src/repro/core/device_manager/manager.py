@@ -676,13 +676,7 @@ class DeviceManager:
             yield from reply(session.transport, message, {"binary": binary})
             return
         if self.board.slot_count > 1:
-            # Space-sharing board: partial-reconfigure a free slot (or the
-            # last slot as victim) without disturbing the others.
-            free = [i for i, slot in enumerate(self.board.slots)
-                    if slot is None]
-            slot = free[0] if free else self.board.slot_count - 1
-            yield from self.board.program_slot(slot, bitstream)
-            self._m_reconfigurations.inc()
+            slot = yield from self.reprogram(bitstream)
             yield from reply(session.transport, message, {
                 "binary": binary, "slot": slot,
             })
@@ -701,9 +695,27 @@ class DeviceManager:
         # reconfiguration time; device buffers are invalidated.
         for other in self.sessions.values():
             other.buffers.clear()
-        yield from self.board.program(bitstream)
-        self._m_reconfigurations.inc()
+        yield from self.reprogram(bitstream)
         yield from reply(session.transport, message, {"binary": binary})
+
+    def reprogram(self, bitstream):
+        """Process: load ``bitstream`` and count the reconfiguration.
+
+        A space-sharing board partially reconfigures a free slot (or the
+        last slot as victim) without disturbing the others and returns
+        that slot; a classic board is fully reprogrammed (returns None),
+        which wipes its DDR.  Callers check first that the load is allowed.
+        """
+        slot = None
+        if self.board.slot_count > 1:
+            free = [i for i, loaded in enumerate(self.board.slots)
+                    if loaded is None]
+            slot = free[0] if free else self.board.slot_count - 1
+            yield from self.board.program_slot(slot, bitstream)
+        else:
+            yield from self.board.program(bitstream)
+        self._m_reconfigurations.inc()
+        return slot
 
     def _deferred_build(self, message: Message, resume_event):
         """Process: run a BUILD_PROGRAM that arrived during a drain."""

@@ -181,6 +181,10 @@ class AcceleratorsRegistry:
         #: Divergence healed by the post-replay reconciliation pass.
         self.reconciliation: Dict[str, int] = {}
         self._replaying = False
+        #: Applied-sequence watermark: the highest WAL ``seq`` the services
+        #: reflect.  Replay skips records at or below it, so replaying a
+        #: log twice is a no-op even for non-commutative histories.
+        self._applied_seq = 0
         #: name → manager resolver surviving crashes (Device Manager
         #: addresses live in cluster DNS, not in Registry process memory).
         self._known_managers: Dict[str, DeviceManager] = {}
@@ -228,7 +232,7 @@ class AcceleratorsRegistry:
         for manager in managers:
             self.register_manager(manager)
         if self.store is not None:
-            self.store.record_epoch(self.epoch)
+            self._applied_seq = self.store.record_epoch(self.epoch).seq
             if self.snapshot_interval is not None:
                 self._snapshot_proc = env.process(self._snapshot_loop())
 
@@ -465,20 +469,25 @@ class AcceleratorsRegistry:
             )
 
     def complete_live_migration(self, instance_name: str,
-                                source_name: str, target_name: str) -> None:
+                                source_name: str, target_name: str,
+                                node: Optional[str] = None) -> None:
         """Bookkeeping after the migration plane moved an instance.
 
-        The pod never restarted — only its accelerator side moved — so the
-        cluster object survives; its Device Manager env var is patched to
-        the new address and the Registry's indexes are re-pointed.
+        The pod never restarted, so the cluster object survives: its
+        Device Manager env var is patched to the new address and the
+        Registry's indexes are re-pointed.  ``node`` is the node the pod
+        moves to with its session (checkpoint/restore of the container),
+        or ``None`` when the pod stays on its node.
         """
         source = self.devices.get(source_name)
         target = self.devices.get(target_name)
         source.instances.discard(instance_name)
         target.instances.add(instance_name)
-        self.functions.move_instance(instance_name, target_name)
+        instance = self.functions.move_instance(instance_name, target_name,
+                                                node)
         self._log("move_instance", instance=instance_name,
-                  device=target_name)
+                  device=target_name,
+                  node=instance.node if instance is not None else node)
         if instance_name in self.cluster.pods:
             self.cluster.patch_pod(instance_name,
                                    **{MANAGER_ENV: target_name})
@@ -634,7 +643,7 @@ class AcceleratorsRegistry:
         """Append one operation to the WAL (no-op in volatile mode or
         while the log itself is being replayed)."""
         if self.store is not None and not self._replaying:
-            self.store.append(op, **args)
+            self._applied_seq = self.store.append(op, **args).seq
 
     def snapshot_state(self) -> dict:
         """Deterministic full-state snapshot (plain JSON-clean dict)."""
@@ -681,6 +690,7 @@ class AcceleratorsRegistry:
     def _install_state(self, state: dict,
                        resolver: Dict[str, DeviceManager]) -> None:
         """Rebuild both services from a snapshot (replay prologue)."""
+        self._applied_seq = self.store.snapshot_seq
         for name in sorted(state["devices"]):
             cell = state["devices"][name]
             manager = resolver.get(name)
@@ -716,8 +726,12 @@ class AcceleratorsRegistry:
 
     def _apply_record(self, record: WalRecord,
                       resolver: Dict[str, DeviceManager]) -> bool:
-        """Apply one replayed WAL record; idempotent (re-applying a record
-        the state already reflects is a no-op).  Returns True if applied."""
+        """Apply one replayed WAL record; idempotent: a record at or below
+        the applied-sequence watermark is already reflected in the state
+        and is skipped.  Returns True if applied."""
+        if record.seq <= self._applied_seq:
+            return False
+        self._applied_seq = record.seq
         op, args = record.op, record.args
         if op == "epoch":
             return False
@@ -776,13 +790,16 @@ class AcceleratorsRegistry:
             return True
         if op == "move_instance":
             instance = self.functions.instance(args["instance"])
-            if instance is None or instance.device == args["device"]:
+            node = args.get("node")
+            if instance is None or (instance.device == args["device"]
+                                    and node in (None, instance.node)):
                 return False
             if instance.device and instance.device in self.devices:
                 self.devices.get(instance.device).instances.discard(
                     args["instance"]
                 )
-            self.functions.move_instance(args["instance"], args["device"])
+            self.functions.move_instance(args["instance"], args["device"],
+                                         node)
             if args["device"] in self.devices:
                 self.devices.get(args["device"]).instances.add(
                     args["instance"]
@@ -829,6 +846,7 @@ class AcceleratorsRegistry:
                                      self.metrics_filters)
         self._falloff = []
         self._valid_until = {}
+        self._applied_seq = 0
 
     def restart(self, resolver: Optional[Dict[str, DeviceManager]] = None,
                 store: Optional[RegistryStore] = None):
@@ -876,7 +894,7 @@ class AcceleratorsRegistry:
         finally:
             self._replaying = False
         self.replayed_ops += len(records)
-        self.store.record_epoch(self.epoch)
+        self._applied_seq = self.store.record_epoch(self.epoch).seq
         # Replay done: the control plane serves again (blackout over).
         self.alive = True
         self.recoveries += 1
@@ -972,17 +990,24 @@ class AcceleratorsRegistry:
                                   instance=instance_name)
                     diffs["dropped_instances"] += 1
                     continue
-                actual = pod.spec.env.get(MANAGER_ENV, "")
-                if actual and actual != device.name:
+                # A live move patches the pod's manager and, when the pod
+                # moved with its session, its node.
+                actual = pod.spec.env.get(MANAGER_ENV, "") or device.name
+                node = pod.spec.node_name or (
+                    instance.node if instance is not None else "")
+                if actual == device.name and (instance is None
+                                              or node == instance.node):
+                    continue
+                if actual != device.name:
                     device.instances.discard(instance_name)
                     if actual in self.devices:
                         self.devices.get(actual).instances.add(
                             instance_name
                         )
-                    self.functions.move_instance(instance_name, actual)
-                    self._log("move_instance", instance=instance_name,
-                              device=actual)
-                    diffs["moved_instances"] += 1
+                self.functions.move_instance(instance_name, actual, node)
+                self._log("move_instance", instance=instance_name,
+                          device=actual, node=node)
+                diffs["moved_instances"] += 1
         for pod_name in sorted(pods):
             pod = pods[pod_name]
             allocated = pod.spec.env.get(MANAGER_ENV, "")

@@ -185,16 +185,20 @@ class FunctionsService:
                 on_device.pop(instance_name, None)
         return instance
 
-    def move_instance(self, instance_name: str,
-                      device: str) -> Optional[InstanceRecord]:
+    def move_instance(self, instance_name: str, device: str,
+                      node: Optional[str] = None
+                      ) -> Optional[InstanceRecord]:
         """Reassign an instance to another device, keeping indexes in sync.
 
-        Used by live migration: the pod (and its node) stay put, only the
-        accelerator side moves, so this touches the device index alone.
+        Used by live migration, which moves the pod to the device's node
+        with its session: ``node`` is the pod's new node, or ``None`` when
+        the pod stays where it is.
         """
         instance = self._by_name.get(instance_name)
         if instance is None:
             return None
+        if node is not None:
+            instance.node = node
         if instance.device:
             on_device = self._by_device.get(instance.device)
             if on_device is not None:

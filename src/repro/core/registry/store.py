@@ -18,7 +18,8 @@ Record vocabulary (``op`` → ``args``):
 * ``admit`` — one Algorithm-1 allocation (``instance``, ``function``,
   ``node``, ``device``, ``pending`` bitstream or ``None``);
 * ``remove_instance`` / ``move_instance`` — instance lifecycle
-  (deletion watch, live-migration completion);
+  (deletion watch; live-migration completion, with the ``device`` and
+  ``node`` the instance moved to);
 * ``device_dead`` / ``device_alive`` — lease events from the health
   monitor;
 * ``epoch`` — a Registry (re)start fencing-token bump (``epoch``).

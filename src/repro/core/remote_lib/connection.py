@@ -157,7 +157,8 @@ class Connection:
 
     def rebind(self, manager_endpoint: RpcEndpoint,
                manager_host: NetworkHost,
-               prefer_shm: Optional[bool] = None) -> Transport:
+               prefer_shm: Optional[bool] = None,
+               client_host: Optional[NetworkHost] = None) -> Transport:
         """Point this connection at a new Device Manager (live migration).
 
         Must be called with the stream paused.  Every queued item, every
@@ -165,9 +166,13 @@ class Connection:
         flows over a fresh transport to the new endpoint; the dispatcher
         routes completions by tag, so machines restored server-side
         resolve on the new manager without the client observing an error.
+        ``client_host`` is the pod's node after the move when the pod
+        moves too: next to the new manager the transport is shared memory.
         """
         if prefer_shm is None:
             prefer_shm = self._prefer_shm
+        if client_host is not None:
+            self.client_host = client_host
         self.manager_endpoint = manager_endpoint
         self.transport = make_transport(
             self.env, self.network, self.client_host, manager_host,

@@ -15,7 +15,8 @@ redistribution step costs the displaced tenants:
   :mod:`repro.live`: the source board drains to an operation boundary,
   each victim's session (buffers, FIFO, open operations) moves to a
   compatible board, and the client connection rebinds without the pod
-  ever restarting.
+  ever restarting; the pod follows its session to the target's node, so
+  the tenant keeps its shared-memory data plane.
 
 Both arms run the identical deterministic workload; the report compares
 dropped requests, the latency tail the *clients* observe (folding request
@@ -36,7 +37,7 @@ from ..core.remote_lib import ManagerAddress, PlatformRouter
 from ..faults import GatewayPolicy
 from ..fpga.bitstream import extended_library
 from ..fpga.hwspec import GiB, HOST_I7_6700, PCIE_GEN3_X8, NodeSpec
-from ..live import LiveMigrator, controller_connection_resolver
+from ..live import LiveMigrator, controller_instance_resolver
 from ..loadgen import LoadStats, percentile, run_load
 from ..serverless import (
     FIRApp,
@@ -126,6 +127,9 @@ class MigrationModeResult:
     rejected_messages: int = 0
     rebinds: int = 0
     hung_events: int = 0
+    #: Tenant connections still crossing nodes (gRPC instead of shared
+    #: memory) at the end of the run.
+    remote_sessions: int = 0
     stats: List[LoadStats] = field(default_factory=list)
 
     def to_golden(self) -> Dict[str, object]:
@@ -148,6 +152,7 @@ class MigrationModeResult:
             "rejected_messages": self.rejected_messages,
             "rebinds": self.rebinds,
             "hung_events": self.hung_events,
+            "remote_sessions": self.remote_sessions,
         }
 
 
@@ -215,7 +220,7 @@ def run_migration_mode(mode: str,
     if mode == "live":
         migrator = LiveMigrator(
             env, registry, dict(testbed.managers),
-            controller_connection_resolver(controller),
+            controller_instance_resolver(controller),
             network=testbed.network,
         )
         registry.live_migrator = migrator
@@ -324,6 +329,12 @@ def run_migration_mode(mode: str,
     )
     result.rebinds = sum(c.rebinds for c in router.connections)
     result.hung_events = sum(len(c._machines) for c in router.connections)
+    result.remote_sessions = sum(
+        1 for name in tenants for instance in controller.live_instances(name)
+        if instance.connection is not None and not testbed.network.is_local(
+            instance.connection.transport.client,
+            instance.connection.transport.server)
+    )
     return result
 
 

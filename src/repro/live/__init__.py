@@ -14,7 +14,11 @@ from .checkpoint import (
     capture_session,
     restore_session,
 )
-from .migration import LiveMigrator, controller_connection_resolver
+from .migration import (
+    LiveMigrator,
+    controller_connection_resolver,
+    controller_instance_resolver,
+)
 
 __all__ = [
     "BoardCheckpoint",
@@ -27,5 +31,6 @@ __all__ = [
     "capture_board",
     "capture_session",
     "controller_connection_resolver",
+    "controller_instance_resolver",
     "restore_session",
 ]

@@ -13,40 +13,46 @@ Managers when Algorithm 1's redistribution displaces them (the Registry's
    into a :class:`~repro.live.checkpoint.SessionCheckpoint`;
 3. pay the **state transfer** over the cluster network (buffer contents,
    staged payloads, metadata);
-4. **rebind** the client connection to the target manager and **restore**
-   the session there — outstanding OpenCL event machines resolve on the
-   new manager because completions are routed by tag;
-5. complete the Registry bookkeeping and **resume** the stream and the
-   source manager.
+4. **rebind** the client connection to the target manager — from the
+   target's node, since the pod follows its session there — and
+   **restore** the session; outstanding OpenCL event machines resolve on
+   the new manager because completions are routed by tag;
+5. complete the Registry bookkeeping and **resume** the source manager;
+6. per victim: **move the pod** — a container checkpoint/restore that
+   keeps the pod's name and process — paying the host image its app
+   holds over the network, then resume that victim's stream.  Only the
+   victim waits for its image: the source board already serves again.
 
-Any victim that cannot move live (no connection, incompatible or full
-target, target busy with other tenants' bitstream) falls back to the
-paper's create-before-delete restart migration.
+The pod stays on its node when the target's node is not ready; its
+connection then reaches the target over gRPC.  Any victim that cannot
+move live (no connection, incompatible or full target, target busy with
+other tenants' bitstream) falls back to the paper's create-before-delete
+restart migration.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..cluster import SchedulingError
 from ..core.device_manager.manager import DeviceManager
 from ..rpc import Network
 from ..sim import Environment
 from .checkpoint import CheckpointError, capture_session, restore_session
 
-#: Resolves an instance name to its live client connection (or None).
-ConnectionResolver = Callable[[str], Optional[object]]
+#: Resolves an instance name to its running
+#: :class:`~repro.serverless.instance.FunctionInstance` (or None).
+InstanceResolver = Callable[[str], Optional[object]]
 
 
-def controller_connection_resolver(controller) -> ConnectionResolver:
+def controller_instance_resolver(controller) -> InstanceResolver:
     """Resolver over a serverless FunctionController's running instances."""
+    return controller.instances.get
 
-    def resolve(instance_name: str):
-        instance = controller.instances.get(instance_name)
-        if instance is None or instance.platform is None:
-            return None
-        return getattr(instance.platform.driver, "connection", None)
 
-    return resolve
+#: Earlier name of :func:`controller_instance_resolver`, still imported by
+#: ``perfbench/workloads.py``.
+controller_connection_resolver = controller_instance_resolver
 
 
 class LiveMigrator:
@@ -62,13 +68,13 @@ class LiveMigrator:
         env: Environment,
         registry,
         managers: Dict[str, DeviceManager],
-        connection_of: ConnectionResolver,
+        instance_of: InstanceResolver,
         network: Optional[Network] = None,
     ):
         self.env = env
         self.registry = registry
         self.managers = dict(managers)
-        self.connection_of = connection_of
+        self.instance_of = instance_of
         self.network = network
         #: Sessions moved live / moves that fell back to restart.
         self.migrated = 0
@@ -80,38 +86,45 @@ class LiveMigrator:
     def migrate(self, source_name: str, moves: List[Tuple[str, str]]):
         """Process: move every ``(instance, target)`` off ``source_name``."""
         source = self.managers.get(source_name)
-        victims: List[Tuple[str, str, object]] = []
+        victims: List[Tuple[object, DeviceManager]] = []
         restart: List[str] = []
         for instance_name, target_name in moves:
             target = self.managers.get(target_name)
-            connection = self.connection_of(instance_name)
-            if (source is None or target is None or connection is None
+            instance = self.instance_of(instance_name)
+            if (source is None or target is None or instance is None
+                    or instance.connection is None
                     or not source.alive or not target.alive
                     or instance_name not in source.sessions):
                 restart.append(instance_name)
                 continue
-            victims.append((instance_name, target_name, connection))
+            victims.append((instance, target))
 
         if victims and source is not None:
-            for instance_name, _target, _conn in victims:
-                source.migrating_clients.add(instance_name)
+            for instance, _target in victims:
+                source.migrating_clients.add(instance.pod.name)
             yield from source.drain()
-            for instance_name, target_name, connection in victims:
-                moved = yield from self._migrate_one(
-                    source, instance_name, target_name, connection
-                )
+            pod_moves: List[Tuple[object, object]] = []
+            for instance, target in victims:
+                moved = yield from self._migrate_one(source, instance,
+                                                     target, pod_moves)
                 if not moved:
-                    restart.append(instance_name)
+                    restart.append(instance.pod.name)
             source.resume()
+            # Pod images travel outside the drain window.
+            for instance, node in pod_moves:
+                self.env.process(self._move_pod(instance, node))
 
         for instance_name in restart:
             self.fallbacks += 1
             yield from self._restart(instance_name)
 
     # -- one victim ----------------------------------------------------------
-    def _migrate_one(self, source: DeviceManager, instance_name: str,
-                     target_name: str, connection):
-        target = self.managers[target_name]
+    def _migrate_one(self, source: DeviceManager, instance,
+                     target: DeviceManager, pod_moves: list):
+        """Process: move one session; True on success.  A pod that follows
+        its session is appended to ``pod_moves`` with its stream paused."""
+        instance_name = instance.pod.name
+        connection = instance.connection
         yield from connection.pause_stream()
         yield self.env.timeout(self.SETTLE)
 
@@ -132,7 +145,11 @@ class LiveMigrator:
                 source.node, target.node, checkpoint.transfer_nbytes
             )
 
-        transport = connection.rebind(target.endpoint, target.node)
+        node = self._pod_destination(instance, target)
+        transport = connection.rebind(
+            target.endpoint, target.node,
+            client_host=node.host if node is not None else None,
+        )
         try:
             restore_session(target, checkpoint, transport,
                             connection.completion_queue)
@@ -143,12 +160,48 @@ class LiveMigrator:
             return False
 
         self.registry.complete_live_migration(
-            instance_name, source.name, target.name
+            instance_name, source.name, target.name,
+            node=node.name if node is not None else None,
         )
         self.migrated += 1
         self.log.append((instance_name, source.name, target.name))
-        connection.resume_stream()
+        if node is None:
+            connection.resume_stream()
+        else:
+            pod_moves.append((instance, node))
         return True
+
+    def _pod_destination(self, instance, target: DeviceManager):
+        """The cluster node the pod moves to with its session, or None when
+        it stays: it already runs there, or that node is not ready."""
+        node = self.registry.cluster.nodes.get(target.node.name)
+        if node is None or node is instance.node or not node.ready:
+            return None
+        return node
+
+    def _move_pod(self, instance, node):
+        """Process: checkpoint/restore the pod's container onto ``node``.
+
+        Pays the host image the app holds over the network, then re-homes
+        the pod in the cluster; the victim's stream, paused since its
+        capture, resumes once the image has landed.
+        """
+        if self.network is not None:
+            yield from self.network.transfer(
+                instance.node.host, node.host, instance.app.host_image_bytes
+            )
+        cluster = self.registry.cluster
+        name = instance.pod.name
+        if cluster.pods.get(name) is instance.pod:  # not deleted meanwhile
+            try:
+                cluster.rebind_pod(name, node.name)
+            except SchedulingError:
+                # The node failed while the image was in flight: the pod is
+                # evicted with it, as Cluster.fail_node would have done.
+                cluster.delete_pod(name)
+            else:
+                instance.node = node
+        instance.connection.resume_stream()
 
     def _prepare_target(self, target: DeviceManager, instance_name: str):
         """Process: make sure the target board runs the victim's bitstream.
@@ -170,14 +223,7 @@ class LiveMigrator:
             return False
         if len(target.board.memory):
             return False  # another tenant holds live DDR; reprogram wipes it
-        if target.board.slot_count > 1:
-            free = [i for i, slot in enumerate(target.board.slots)
-                    if slot is None]
-            slot = free[0] if free else target.board.slot_count - 1
-            yield from target.board.program_slot(slot, bitstream)
-        else:
-            yield from target.board.program(bitstream)
-        target._m_reconfigurations.inc()
+        yield from target.reprogram(bitstream)
         return True
 
     def _required_bitstream(self, instance_name: str) -> Optional[str]:

@@ -31,6 +31,9 @@ class FunctionApp(abc.ABC):
     #: Host-side time per request (parse, prepare, respond), worker-node
     #: seconds; instances scale it by their node's speed factor.
     host_overhead: float = 3.0e-3
+    #: Host memory the app holds between requests (frames, operands,
+    #: results), bytes: what a live move ships in the pod's image.
+    host_image_bytes: int = 0
 
     @abc.abstractmethod
     def setup(self, env: Environment, platform: Platform, node) -> Any:
@@ -53,6 +56,8 @@ class SobelApp(FunctionApp):
         self.functional = functional
         self.seed = seed
         self.nbytes = width * height * 4
+        #: The input and the output frame.
+        self.host_image_bytes = 2 * self.nbytes
         self.input_data: Optional[bytes] = None
 
     def setup(self, env, platform, node):
@@ -98,6 +103,8 @@ class MMApp(FunctionApp):
         self.functional = functional
         self.seed = seed
         self.nbytes = n * n * 4
+        #: Operands A and B and the product C.
+        self.host_image_bytes = 3 * self.nbytes
         self.a_data: Optional[bytes] = None
         self.b_data: Optional[bytes] = None
 
@@ -148,6 +155,8 @@ class FIRApp(FunctionApp):
         self.functional = functional
         self.seed = seed
         self.nbytes = n * 4
+        #: The signal block, its filtered output and the coefficients.
+        self.host_image_bytes = 2 * self.nbytes + taps * 4
         self.signal_data: Optional[bytes] = None
 
     def setup(self, env, platform, node):
@@ -197,6 +206,8 @@ class HistogramApp(FunctionApp):
         self.functional = functional
         self.seed = seed
         self.nbytes = n * 4
+        #: The value block and the bin counters.
+        self.host_image_bytes = self.nbytes + bins * 4
         self.values_data: Optional[bytes] = None
 
     def setup(self, env, platform, node):
@@ -234,6 +245,8 @@ class AlexNetApp(FunctionApp):
         self.seed = seed
         self.layers: List[LayerSpec] = alexnet_layers()
         self.input_nbytes = 3 * 227 * 227 * 4
+        #: The input image and the 1000 logits.
+        self.host_image_bytes = self.input_nbytes + 1000 * 4
         self.input_data: Optional[bytes] = None
 
     def setup(self, env, platform, node):

@@ -51,6 +51,14 @@ class FunctionInstance:
         self.process = env.process(self._run())
         pod.process = self.process
 
+    @property
+    def connection(self):
+        """The Remote OpenCL Library's Device-Manager connection, or None
+        (native runtime, or no platform yet)."""
+        if self.platform is None:
+            return None
+        return getattr(self.platform.driver, "connection", None)
+
     # -- platform acquisition --------------------------------------------------
     def _acquire_platform(self):
         runtime = self.function.spec.runtime

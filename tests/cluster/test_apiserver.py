@@ -117,6 +117,28 @@ class TestPodLifecycle:
         pod = cluster.patch_pod("p1", BF_MANAGER="dm-B")
         assert pod.spec.env["BF_MANAGER"] == "dm-B"
 
+    def test_rebind_pod_keeps_identity_and_moves_node(self, env, cluster):
+        pod = run(env, cluster.create_pod(PodSpec("p1", "fn",
+                                                  node_name="B")))
+        uid = pod.uid
+        events = []
+        cluster.watch(events.append)
+        assert cluster.rebind_pod("p1", "C") is pod
+        assert pod.uid == uid and pod.phase is PodPhase.RUNNING
+        assert pod.node.name == pod.spec.node_name == "C"
+        assert "p1" in cluster.node("C").pods
+        assert "p1" not in cluster.node("B").pods
+        assert [(e.type, e.pod) for e in events] == [
+            (WatchEventType.MODIFIED, pod)]
+
+    def test_rebind_pod_refuses_not_ready_node(self, env, cluster):
+        pod = run(env, cluster.create_pod(PodSpec("p1", "fn",
+                                                  node_name="B")))
+        cluster.node("C").ready = False
+        with pytest.raises(SchedulingError):
+            cluster.rebind_pod("p1", "C")
+        assert pod.node.name == "B" and "p1" in cluster.node("B").pods
+
     def test_pods_of_function(self, env, cluster):
         def flow(env):
             yield from cluster.create_pod(PodSpec("a-1", "a"))

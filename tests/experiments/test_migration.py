@@ -83,6 +83,13 @@ class TestGoldenMigration:
         assert migration_result.restart.live_migrations == 0
         assert migration_result.restart.rebinds == 0
 
+    def test_displaced_tenants_keep_shared_memory(self, migration_result):
+        # Pods follow their sessions: no tenant ends on a cross-node gRPC
+        # link, so the live arm's median is the restart arm's steady state.
+        live, restart = migration_result.live, migration_result.restart
+        assert live.remote_sessions == 0
+        assert live.p50_ms == restart.p50_ms
+
     def test_storm_functions_only_fail_under_restart(self, migration_result):
         # Under restart moves the storm functions lose the build race
         # against the victims still on the board; live moves defer the
